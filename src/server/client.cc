@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -97,6 +98,10 @@ bool ServeClient::Connect(uint16_t port, std::string* error) {
     Close();
     return false;
   }
+  // Requests are small single frames answered before the next is sent; Nagle's
+  // algorithm would hold a frame's tail until the server's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return true;
 }
 

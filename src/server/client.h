@@ -49,6 +49,8 @@ class ServeClient {
 
   void Close();
   bool connected() const { return fd_ >= 0; }
+  // The connected socket (-1 when closed), for inspecting its options.
+  int fd() const { return fd_; }
 
  private:
   int fd_ = -1;

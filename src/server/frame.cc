@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -31,14 +32,19 @@ ssize_t ReadFull(int fd, char* buf, size_t len) {
   return static_cast<ssize_t>(done);
 }
 
+// Writes every byte of `iov[0..count)`. A socket gets sendmsg() with
 // MSG_NOSIGNAL: a peer that resets mid-write must surface as EPIPE, not as a
-// process-fatal SIGPIPE — one dead client must never take down the daemon.
-bool WriteFull(int fd, const char* buf, size_t len) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::send(fd, buf + done, len - done, MSG_NOSIGNAL);
+// process-fatal SIGPIPE — one dead client must never take down the daemon. A
+// non-socket fd (pipe, file) fails that with ENOTSOCK and gets writev(). Short
+// writes advance across entries, so `iov` is consumed in place.
+bool WriteFullV(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, buf + done, len - done);  // non-socket fd (pipe, file)
+      n = ::writev(fd, iov, static_cast<int>(count));
     }
     if (n < 0) {
       if (errno == EINTR) {
@@ -46,7 +52,16 @@ bool WriteFull(int fd, const char* buf, size_t len) {
       }
       return false;
     }
-    done += static_cast<size_t>(n);
+    size_t done = static_cast<size_t>(n);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return true;
 }
@@ -138,8 +153,12 @@ bool WriteFrame(int fd, std::string_view payload, std::string* error) {
                     static_cast<char>((length >> 16) & 0xff),
                     static_cast<char>((length >> 8) & 0xff),
                     static_cast<char>(length & 0xff)};
-  if (!WriteFull(fd, prefix, sizeof(prefix)) ||
-      !WriteFull(fd, payload.data(), payload.size())) {
+  // Prefix and payload leave in one syscall: a 4-byte prefix sent on its own
+  // lets Nagle's algorithm hold the payload back until the peer's delayed ACK
+  // (tens of milliseconds on Linux), on every frame.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  if (!WriteFullV(fd, iov, 2)) {
     if (error != nullptr) {
       *error = "frame write failed: " + ErrnoString();
     }

@@ -43,8 +43,10 @@ struct FrameResult {
 // Reads one frame from `fd`. Blocks until a full frame, EOF, or an error.
 FrameResult ReadFrame(int fd, size_t max_bytes = kDefaultMaxFrameBytes);
 
-// Writes one frame (prefix + payload) to `fd`. Returns false with *error set on
-// failure. Payloads larger than 2^32 - 1 bytes are refused.
+// Writes one frame (prefix + payload) to `fd` with one sendmsg() (writev() on a
+// non-socket fd), so the payload is never copied and the frame never leaves as a
+// lone 4-byte segment. Returns false with *error set on failure. Payloads larger
+// than 2^32 - 1 bytes are refused.
 bool WriteFrame(int fd, std::string_view payload, std::string* error = nullptr);
 
 }  // namespace espresso::server

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,13 +97,17 @@ void ServeServer::Stop() {
       return;
     }
   }
+  // shutdown() wakes the accept() blocked on the listener; the fd is closed and
+  // cleared only after the join, because AcceptLoop reads listen_fd_ until then.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
   if (accept_thread_.joinable()) {
     accept_thread_.join();
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
   // Unblock connection threads stuck in read(), then wait for every detached
   // connection thread to finish (each one's final act is the decrement+notify).
@@ -133,6 +138,10 @@ void ServeServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       continue;
     }
+    // A response larger than one segment must not stall its tail on the
+    // client's delayed ACK (docs/SERVICE.md §1).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_.load()) {
       ::close(fd);

@@ -28,6 +28,8 @@ struct ServeMetrics {
   obs::Counter cache_misses;
   obs::Gauge inflight;
   obs::Histogram selection_seconds;
+  obs::Histogram validate_seconds;
+  obs::Histogram serialize_seconds;
 };
 
 const ServeMetrics& Metrics() {
@@ -51,6 +53,14 @@ const ServeMetrics& Metrics() {
                                         "Selections currently running");
     m.selection_seconds = registry.RegisterHistogram(
         "espresso_serve_selection_seconds", "Wall-clock time of served selections",
+        obs::DefaultTimeBuckets());
+    m.validate_seconds = registry.RegisterHistogram(
+        "espresso_serve_validate_seconds",
+        "Wall-clock time of the fail-closed IR admission pipeline per served selection",
+        obs::DefaultTimeBuckets());
+    m.serialize_seconds = registry.RegisterHistogram(
+        "espresso_serve_serialize_seconds",
+        "Wall-clock time rendering the IR text and the select response JSON",
         obs::DefaultTimeBuckets());
     return m;
   }();
@@ -349,8 +359,12 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
   // very configuration it was selected for.
   IRValidationOptions validate;
   validate.max_compress_ops = job.max_compress_ops;
+  const Clock::time_point validate_start = Clock::now();
   const IRValidationResult admitted_ir = ValidateStrategyIR(
       ir, job.model, job.cluster, *compressor, job.compressor, validate);
+  obs::GlobalMetrics().Observe(
+      Metrics().validate_seconds,
+      std::chrono::duration<double>(Clock::now() - validate_start).count());
   if (!admitted_ir.ok) {
     std::ostringstream detail;
     admitted_ir.report.PrintTable(detail);
@@ -360,28 +374,9 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
                              detail.str());
   }
 
+  const Clock::time_point serialize_start = Clock::now();
   const std::string ir_text = StrategyIRToString(ir);
   const std::string payload_digest = DigestHex(ir.ContentDigest());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++served_;
-  }
-  obs::GlobalMetrics().Add(Metrics().served);
-  if (audit_ != nullptr) {
-    audit_->Append("serve", [&](JsonWriter& json) {
-      json.Field("id", request.id);
-      json.Field("tenant", request.tenant);
-      json.Field("payload_digest", payload_digest);
-      json.Field("model_digest", DigestHex(model_digest));
-      json.Field("cluster_digest", DigestHex(cluster_digest));
-      json.Field("compression_digest", DigestHex(compression_digest));
-      json.Field("fs_ms", result.iteration_time * 1e3);
-      json.Field("evaluations", result.telemetry.evaluations);
-      json.Field("cache_hits", result.telemetry.cache_hits);
-      json.Field("tenant_used", tenant_total);
-    });
-  }
-
   std::ostringstream out;
   {
     JsonWriter json(out);
@@ -405,6 +400,30 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
     json.EndObject();
     json.EndObject();
   }
+  obs::GlobalMetrics().Observe(
+      Metrics().serialize_seconds,
+      std::chrono::duration<double>(Clock::now() - serialize_start).count());
+
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++served_;
+  }
+  obs::GlobalMetrics().Add(Metrics().served);
+  if (audit_ != nullptr) {
+    audit_->Append("serve", [&](JsonWriter& json) {
+      json.Field("id", request.id);
+      json.Field("tenant", request.tenant);
+      json.Field("payload_digest", payload_digest);
+      json.Field("model_digest", DigestHex(model_digest));
+      json.Field("cluster_digest", DigestHex(cluster_digest));
+      json.Field("compression_digest", DigestHex(compression_digest));
+      json.Field("fs_ms", result.iteration_time * 1e3);
+      json.Field("evaluations", result.telemetry.evaluations);
+      json.Field("cache_hits", result.telemetry.cache_hits);
+      json.Field("tenant_used", tenant_total);
+    });
+  }
+
   return out.str();
 }
 

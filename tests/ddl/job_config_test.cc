@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace espresso {
 namespace {
+
+#ifndef ESPRESSO_CONFIG_DIR
+#error "ESPRESSO_CONFIG_DIR must point at the repository's configs/ directory"
+#endif
 
 ConfigFile ModelZooFile() { return ConfigFile::ParseString("[model]\nname = gpt2\n"); }
 ConfigFile GcFile() {
@@ -102,12 +108,13 @@ TEST(JobConfig, RejectsBadInputs) {
 }
 
 TEST(JobConfig, ShippedConfigFilesLoad) {
-  // The sample files in configs/ must stay valid.
-  const JobConfigResult r = LoadJobConfigFromFiles(
-      "configs/model_gpt2.ini", "configs/gc_dgc.ini", "configs/system_nvlink.ini");
-  if (!r.ok) {
-    GTEST_SKIP() << "configs/ not reachable from test cwd: " << r.error;
-  }
+  // The sample files in configs/ must stay valid. The path is absolute (from the
+  // build), so the test runs from any working directory and a missing file fails.
+  const std::string dir = ESPRESSO_CONFIG_DIR;
+  const JobConfigResult r =
+      LoadJobConfigFromFiles(dir + "/model_gpt2.ini", dir + "/gc_dgc.ini",
+                             dir + "/system_nvlink.ini");
+  ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.job.model.name, "gpt2");
   EXPECT_EQ(r.job.cluster.intra.name, "nvlink");
 }

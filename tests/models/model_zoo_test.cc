@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace espresso {
 namespace {
 
@@ -11,6 +13,10 @@ struct ZooExpectation {
   double size_mb_low;   // Table 4, with synthesis tolerance
   double size_mb_high;
 };
+
+// Without this, gtest prints the raw bytes of the struct, which include the
+// load-address-dependent `name` pointer, so the test IDs would change on every run.
+void PrintTo(const ZooExpectation& e, std::ostream* os) { *os << e.name; }
 
 class ZooParam : public ::testing::TestWithParam<ZooExpectation> {};
 

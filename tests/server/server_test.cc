@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -272,6 +273,35 @@ TEST_F(ServeServerTest, QuotaExhaustionOnlyStarvesTheSpentTenant) {
                           &error))
       << error;
   EXPECT_TRUE(Parse(response).ok) << response;
+}
+
+// Regression for the transport stall: a frame's prefix and payload sent as two
+// writes left Nagle's algorithm holding the payload until the peer's delayed ACK,
+// ~88 ms per round trip. 100 health calls then took ~8.8 s; with one write per
+// frame and TCP_NODELAY they take ~10 ms. The bound sits far from both, so the
+// test catches the stall without gating on wall time.
+TEST_F(ServeServerTest, HealthRoundTripsDoNotStallOnDelayedAck) {
+  StartServer();
+  ServeClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(server_->port(), &error)) << error;
+
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(client.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 100; ++i) {
+    std::string response;
+    ASSERT_TRUE(client.Call(BuildHealthRequest("rtt-" + std::to_string(i)),
+                            &response, &error))
+        << error;
+    ASSERT_TRUE(Parse(response).ok) << response;
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 2.0) << "100 health round trips took " << seconds << " s";
 }
 
 // Raw loopback connect, bypassing ServeClient so the test can write torn frames.

@@ -255,6 +255,10 @@ TEST(SelectionService, MetricsScrapeRoundTrips) {
   ASSERT_NE(body, nullptr);
   ASSERT_TRUE(body->IsString());
   EXPECT_NE(body->text.find("espresso_serve_served_total"), std::string::npos);
+  // The warm-request stages after selection are attributable from a scrape.
+  EXPECT_NE(body->text.find("espresso_serve_validate_seconds_count"), std::string::npos);
+  EXPECT_NE(body->text.find("espresso_serve_serialize_seconds_count"),
+            std::string::npos);
   EXPECT_EQ(ErrorCode(service.HandleRequest(BuildMetricsRequest("m2", "xml"))),
             "malformed-request");
 }
