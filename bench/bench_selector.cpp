@@ -14,8 +14,9 @@
 // --configs DIR directory holding the shipped .ini files (default: configs)
 // --out FILE    write the JSON report to FILE instead of stdout
 // --check FILE  compare this run's strategy fingerprints against a committed report;
-//               exit 1 on any divergence (catches nondeterminism regressions — the
-//               committed timings are informational and are not compared)
+//               exit 1 on any divergence or any combo missing from the report
+//               (catches nondeterminism regressions — the committed timings are
+//               informational and are not compared)
 // --metrics-out write the run's metrics registry (Prometheus text; JSON for .json)
 // --trace-out   write the run's wall-clock spans as a chrome trace
 #include <algorithm>
@@ -275,8 +276,10 @@ int main(int argc, char** argv) {
     if (!check_path.empty()) {
       std::string expected;
       if (!BaselineFingerprint(baseline, combo.name, &expected)) {
-        std::fprintf(stderr, "%-24s not in baseline, skipping check\n",
+        // A missing entry fails: a gate that skips what it cannot find checks nothing.
+        std::fprintf(stderr, "FAIL: %s has no committed fingerprint in the baseline\n",
                      combo.name.c_str());
+        check_failed = true;
       } else if (expected != fingerprint) {
         std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n",
                      combo.name.c_str(), fingerprint.c_str(), expected.c_str());

@@ -18,12 +18,6 @@ void Compressor::Decompress(const CompressedTensor& in, std::span<float> out) co
   DecompressAdd(in, out);
 }
 
-void Compressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  for (const BatchCompressItem& item : items) {
-    Compress({item.data, item.elements}, item.seed, item.out);
-  }
-}
-
 void Compressor::AggregateCompressed(const CompressedTensor& /*in*/,
                                      CompressedTensor* /*accum*/) const {
   ESP_CHECK(false) << "compressed-domain aggregation is not supported by " << name();

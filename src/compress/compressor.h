@@ -18,16 +18,6 @@
 
 namespace espresso {
 
-// One tensor of a batched compression call. `data` points into a staging column (the
-// BatchedCompressPlan packs small tensors into one 64-byte-aligned arena run) and must
-// stay valid for the duration of CompressBatch.
-struct BatchCompressItem {
-  const float* data = nullptr;
-  size_t elements = 0;
-  uint64_t seed = 0;
-  CompressedTensor* out = nullptr;
-};
-
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -43,12 +33,6 @@ class Compressor {
   // rounding); deterministic algorithms ignore it.
   virtual void Compress(std::span<const float> input, uint64_t seed,
                         CompressedTensor* out) const = 0;
-
-  // Compresses a batch of staged tensors. Guaranteed payload-identical to calling
-  // Compress(item.data[0..elements], item.seed, item.out) per item in order — the
-  // default does exactly that; SIMD-aware compressors override it to phase the work
-  // (all reductions, then all quantization passes) across the packed column.
-  virtual void CompressBatch(std::span<const BatchCompressItem> items) const;
 
   // Accumulates the decompressed tensor INTO `out` (out += decompress(in)).
   // Aggregation of compressed shards from many ranks is a sequence of DecompressAdd

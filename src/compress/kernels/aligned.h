@@ -5,9 +5,8 @@
 // assert the alignment the instruction assumes (debug builds; sanitizer legs run
 // !NDEBUG); the *U variants are the one sanctioned home of the unaligned intrinsics,
 // each carrying the conventions:allow marker. Kernel inputs are caller-owned
-// std::vector storage with no alignment guarantee, so bodies default to *U — only the
-// BatchedCompressPlan column (64B by the Arena contract) and kernel-local stack
-// buffers earn *A.
+// std::vector storage with no alignment guarantee, so bodies default to *U — only
+// kernel-local stack buffers (declared alignas) earn *A.
 //
 // Each ISA's block is gated on the compiler's own target macros, so a TU only sees
 // the wrappers its -m flags can actually encode.

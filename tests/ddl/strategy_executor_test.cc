@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "src/collectives/primitives.h"
+#include "src/compress/kernels/kernels.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/util/rng.h"
@@ -204,6 +208,98 @@ TEST(StrategyExecutor, ExecuteStrategyHandlesMixedOptions) {
   for (size_t t = 0; t < 3; ++t) {
     ExpectAllRanksEqual(gradients[t]);
     ExpectNearNaiveSum(gradients[t], expected[t], 0.05f);
+  }
+}
+
+struct CompressorCase {
+  const char* label;
+  CompressorConfig config;
+};
+
+std::vector<CompressorCase> AllCompressors() {
+  return {
+      {"randomk", {.algorithm = "randomk", .ratio = 0.25}},
+      {"topk", {.algorithm = "topk", .ratio = 0.25}},
+      {"efsignsgd", {.algorithm = "efsignsgd"}},
+      {"qsgd", {.algorithm = "qsgd", .bits = 4}},
+      {"terngrad", {.algorithm = "terngrad"}},
+      {"fp16", {.algorithm = "fp16"}},
+      {"threshold", {.algorithm = "threshold", .threshold = 0.2}},
+  };
+}
+
+std::vector<CompressionOption> OptionMatrix() {
+  const TreeConfig tree{2, 2, false};
+  const ClusterSpec cluster = NvlinkCluster(2, 2);
+  std::vector<CompressionOption> options = CandidateOptions(tree);
+  options.push_back(InterOnlyIndivisibleOption(cluster, Device::kGpu));
+  options.push_back(InterOnlyDivisibleOption(cluster, Device::kGpu));
+  options.push_back(AlltoallAlltoallOption(cluster, Device::kGpu));
+  return options;
+}
+
+// Tensor sizes from tail-dominated (17 elements) to several thousand elements, so
+// each kernel runs both its scalar tail and its vector body.
+const size_t kTensorSizes[] = {17, 96, 4096, 5000, 64};
+
+std::vector<RankBuffers> StepGradients(size_t ranks, uint64_t seed) {
+  std::vector<RankBuffers> gradients;
+  for (size_t t = 0; t < std::size(kTensorSizes); ++t) {
+    RankBuffers buffers(ranks, std::vector<float>(kTensorSizes[t]));
+    for (size_t r = 0; r < ranks; ++r) {
+      Rng rng(DeriveSeed(seed, t * ranks + r));
+      rng.FillNormal(buffers[r], 0.0, 1.0);
+    }
+    gradients.push_back(buffers);
+  }
+  return gradients;
+}
+
+void ExpectGradientsBitIdentical(const std::vector<RankBuffers>& a,
+                                 const std::vector<RankBuffers>& b, const char* label,
+                                 int step) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t t = 0; t < a.size(); ++t) {
+    for (size_t r = 0; r < a[t].size(); ++r) {
+      ASSERT_EQ(std::memcmp(a[t][r].data(), b[t][r].data(),
+                            a[t][r].size() * sizeof(float)), 0)
+          << label << " step " << step << " tensor " << t << " rank " << r;
+    }
+  }
+}
+
+// The whole executor pipeline must not depend on the dispatched ISA: scalar-forced
+// and best-table runs of the same strategy, with persistent error feedback, agree bit
+// for bit across every compressor and option shape.
+TEST(ExecutorBatching, StrategyExecutionIsIsaIndependent) {
+  const std::vector<CompressionOption> options = OptionMatrix();
+  const size_t ranks = 4;
+  const kernels::KernelOps* best = kernels::SupportedOps().back();
+  for (const CompressorCase& cc : AllCompressors()) {
+    const auto compressor = CreateCompressor(cc.config);
+    Strategy strategy;
+    for (size_t t = 0; t < std::size(kTensorSizes); ++t) {
+      strategy.options.push_back(options[(t * 3) % options.size()]);
+    }
+    std::vector<ErrorFeedback> feedback_scalar(ranks);
+    std::vector<ErrorFeedback> feedback_simd(ranks);
+    ExecutorWorkspace ws_scalar;
+    ExecutorWorkspace ws_simd;
+    for (int step = 0; step < 2; ++step) {
+      std::vector<RankBuffers> scalar = StepGradients(ranks, 707 * (step + 1));
+      std::vector<RankBuffers> simd = scalar;
+      ExecutorConfig config{.machines = 2, .gpus_per_machine = 2,
+                            .compressor = compressor.get(),
+                            .seed = static_cast<uint64_t>(step)};
+      kernels::SetActiveForTesting(&kernels::Scalar());
+      config.feedback = &feedback_scalar;
+      ExecuteStrategy(strategy, config, scalar, &ws_scalar);
+      kernels::SetActiveForTesting(best);
+      config.feedback = &feedback_simd;
+      ExecuteStrategy(strategy, config, simd, &ws_simd);
+      kernels::SetActiveForTesting(nullptr);
+      ExpectGradientsBitIdentical(scalar, simd, cc.label, step);
+    }
   }
 }
 
